@@ -36,6 +36,7 @@ ci: build
 	dune exec bin/vdpverify.exe -- reach examples/multi_tenant.click
 	dune exec bin/vdpverify.exe -- isolate examples/multi_tenant.click
 	VDP_E13_SMOKE=1 dune exec bench/main.exe -- e13
+	python3 perfbench/run.py --workload route_churn --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true'
 
 clean:
 	dune clean

@@ -232,13 +232,16 @@ let to_int_exn v =
   | Some n -> n
   | None -> invalid_arg "Bitvec.to_int_exn: does not fit"
 
+(* Whole limbs, most significant first; only the limbs covering the low
+   [Sys.int_size - 1] bits matter, and bits shifted past them are
+   masked off (or fall off the top of the [int]). *)
 let to_int_trunc v =
-  let bits = min v.width (Sys.int_size - 1) in
+  let n = min (Array.length v.limbs) (nlimbs_of_width (Sys.int_size - 1)) in
   let acc = ref 0 in
-  for i = bits - 1 downto 0 do
-    acc := (!acc lsl 1) lor (if testbit v i then 1 else 0)
+  for i = n - 1 downto 0 do
+    acc := (!acc lsl limb_bits) lor Array.unsafe_get v.limbs i
   done;
-  !acc
+  if v.width > Sys.int_size - 1 then !acc land max_int else !acc
 
 let to_signed_int v =
   if not (msb v) then to_int v

@@ -178,10 +178,6 @@ let make_step2 cfg =
          ~track_core:cfg.certify ())
   else Flat (cache, cfg.preprocess)
 
-let make_flat cfg =
-  Flat
-    ((if cfg.cache then Some Solver.shared_cache else None), cfg.preprocess)
-
 (* Enter the composite state [st]: in incremental mode, open a scope
    holding exactly the constraints [apply] just added. *)
 let enter step2 (st : Compose.t) =
@@ -363,8 +359,11 @@ exception Path_budget
    brand-new context, re-blasting the shared prefix per subtree and
    solving all frontier checks flat.
 
+   The instruction bound spawns only subtree tasks: it collects the
+   completed paths and checks them afterwards, sequentially.
+
    Determinism: a parent merges child results in spawn (= DFS) order,
-   so violation lists, bound witnesses and counters come out exactly
+   so violation lists, collected paths and counters come out exactly
    as the sequential DFS orders them. The composite-path budget is one
    atomic counter shared by every task; a task that finds it exhausted
    returns a budget-hit marker instead of expanding.
@@ -808,79 +807,8 @@ type bound_report = {
   b_cert : Vdp_cert.Certificate.summary option;
 }
 
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-(* The bound DFS body shared by the sequential pass and each parallel
-   subtree worker. [best] is (instr_hi, final composite state, model)
-   of the longest feasible path seen so far, first-in-DFS-order on
-   ties.
-   [hint] is a pruning accelerator shared across workers: the largest
-   instr_hi proven feasible anywhere so far. Skipping paths at or below
-   it never loses the maximum, so the bound stays deterministic; which
-   equal-length witness is kept (and the check count) may vary. *)
-let bound_visitor cfg nodes (summaries : Summaries.entry array)
-    ~(stats : stats) ~best ~hint ~unknown_hi ~completed ~certify step2 =
-  let record_unknown (st : Compose.t) =
-    stats.unknown_checks <- stats.unknown_checks + 1;
-    if st.Compose.instr_hi > !unknown_hi then unknown_hi := st.Compose.instr_hi
-  in
-  (* Incremental mode checks each completed path as the DFS reaches it
-     (sharing the prefix context), keeping the running maximum; only
-     paths that could raise the maximum are checked. *)
-  let leaf (st' : Compose.t) =
-    let improves =
-      (match !best with
-      | None -> true
-      | Some (b, _, _) -> st'.Compose.instr_hi > b)
-      && st'.Compose.instr_hi > Atomic.get hint
-    in
-    if improves then begin
-      stats.suspect_checks <- stats.suspect_checks + 1;
-      enter step2 st';
-      (match check_state step2 ~max_conflicts:cfg.solver_budget st' [] with
-      | Solver.Sat model ->
-        atomic_max hint st'.Compose.instr_hi;
-        best := Some (st'.Compose.instr_hi, st', model)
-      | Solver.Unsat ->
-        stats.refuted <- stats.refuted + 1;
-        certify st'
-      | Solver.Unknown -> record_unknown st');
-      leave step2
-    end
-  in
-  let complete st' crashed =
-    match step2 with
-    | Flat _ -> completed := (st', crashed) :: !completed
-    | Incremental _ -> leaf st'
-  in
-  let rec visit node (st : Compose.t) =
-    stats.composite_paths <- stats.composite_paths + 1;
-    if stats.composite_paths > cfg.max_composite_paths then
-      raise Path_budget;
-    let tag = Printf.sprintf "n%d" node in
-    let deps = summaries.(node).Summaries.result.Engine.static_deps in
-    List.iter
-      (fun (seg : Engine.segment) ->
-        let st' = Compose.apply ~deps st ~tag seg in
-        if Compose.plausible st' then
-          match seg.Engine.outcome with
-          | Engine.O_crash _ -> complete st' true
-          | Engine.O_drop -> complete st' false
-          | Engine.O_emit p -> (
-            match nodes.(node).Click.Pipeline.outputs.(p) with
-            | None -> complete st' false
-            | Some (dst, _) ->
-              enter step2 st';
-              visit dst st';
-              leave step2))
-      summaries.(node).Summaries.result.Engine.segments
-  in
-  (record_unknown, complete, visit)
-
 (* One visit step of the bound DFS, as frontier expansion. The check
-   payload is a completed path: (final state, ended-in-crash). *)
+   payload is a completed path's final state. *)
 let bound_expand nodes (summaries : Summaries.entry array) node st =
   let tag = Printf.sprintf "n%d" node in
   let deps = summaries.(node).Summaries.result.Engine.static_deps in
@@ -890,11 +818,10 @@ let bound_expand nodes (summaries : Summaries.entry array) node st =
       if not (Compose.plausible st') then []
       else
         match seg.Engine.outcome with
-        | Engine.O_crash _ -> [ W_check (st', true) ]
-        | Engine.O_drop -> [ W_check (st', false) ]
+        | Engine.O_crash _ | Engine.O_drop -> [ W_check st' ]
         | Engine.O_emit p -> (
           match nodes.(node).Click.Pipeline.outputs.(p) with
-          | None -> [ W_check (st', false) ]
+          | None -> [ W_check st' ]
           | Some (dst, _) -> [ W_subtree (dst, st') ]))
     summaries.(node).Summaries.result.Engine.segments
 
@@ -906,139 +833,97 @@ let instruction_bound ?(config = default_config) (pl : Click.Pipeline.t) :
   let summaries = step1 ?pool config pl stats in
   let nodes = Click.Pipeline.nodes pl in
   let t0 = now () in
-  (* Best feasible path so far: (instr_hi, final state, model). *)
+  (* The longest feasible path: (instr_hi, final state, model). *)
   let best : (int * Compose.t * Vdp_smt.Model.t) option ref = ref None in
   (* Longest candidate that came back Unknown; if it exceeds the final
      bound, the bound may undercount and must not be reported exact. *)
   let unknown_hi = ref (-1) in
-  let hint = Atomic.make (-1) in
-  let completed : (Compose.t * bool) list ref = ref [] in
-  (* (final state, ended-in-crash) — flat mode only *)
-  let budget_hit =
+  (* Step 2 collects every completed path, then checks them
+     longest-first: every path longer than the bound must be refuted in
+     any order, and the first satisfiable one gives the bound. A pool
+     only expands the composite tree; the checks run in the same
+     sequential search, so [-j N] makes the same checks as [-j 1]. *)
+  let budget_hit, completed =
     match pool with
     | Some pool when Pool.size pool > 1 ->
-      let key = worker_ctx_key config in
       let visits = Atomic.make 0 in
-      let cq = make_cert_queue () in
-      (* A completed path: in incremental mode check it now on the
-         domain's re-seeded context (the shared [hint] prunes paths
-         that cannot raise the maximum); in flat mode just collect it
-         for the longest-first search below. Task result:
-         (best, unknown_hi, completed in DFS order, counters, budget). *)
-      let check_leaf (st, crashed) () =
-        let local = fresh_stats () in
-        if not config.incremental then
-          (None, -1, [ (st, crashed) ], local, false)
-        else if st.Compose.instr_hi <= Atomic.get hint then
-          (None, -1, [], local, false)
-        else begin
-          let step2 = Domain.DLS.get key in
-          reseed step2 st;
-          local.suspect_checks <- 1;
-          match
-            check_state step2 ~max_conflicts:config.solver_budget st []
-          with
-          | Solver.Sat model ->
-            atomic_max hint st.Compose.instr_hi;
-            (Some (st.Compose.instr_hi, st, model), -1, [], local, false)
-          | Solver.Unsat ->
-            local.refuted <- 1;
-            async_cert pool cq cert step2 st;
-            (None, -1, [], local, false)
-          | Solver.Unknown ->
-            local.unknown_checks <- 1;
-            (None, st.Compose.instr_hi, [], local, false)
-        end
-      in
+      (* Task result: (completed paths in DFS order, composite paths
+         visited, budget hit). *)
       let rec subtree node st () =
-        let local = fresh_stats () in
-        local.composite_paths <- 1;
         if Atomic.fetch_and_add visits 1 >= config.max_composite_paths then
-          (None, -1, [], local, true)
+          ([], 1, true)
         else
-          let futs =
+          let items =
             List.map
               (function
-                | W_check chk -> Pool.spawn pool (check_leaf chk)
-                | W_subtree (dst, st') -> Pool.spawn pool (subtree dst st'))
+                | W_check chk -> Either.Left chk
+                | W_subtree (dst, st') ->
+                  Either.Right (Pool.spawn pool (subtree dst st')))
               (bound_expand nodes summaries node st)
           in
-          (* Merge in spawn order: a later candidate replaces the best
-             only if strictly longer, so ties resolve to the first in
-             global DFS order — the same path the sequential DFS
-             keeps. *)
-          List.fold_left
-            (fun (b, uhi, comp, acc, bh) fut ->
-              let b_i, uhi_i, comp_i, s_i, bh_i = Pool.await pool fut in
-              merge_counters acc s_i;
-              let b' =
-                match (b, b_i) with
-                | None, _ -> b_i
-                | Some _, None -> b
-                | Some (x, _, _), Some (y, _, _) -> if y > x then b_i else b
-              in
-              (b', max uhi uhi_i, comp @ comp_i, acc, bh || bh_i))
-            (None, -1, [], local, false) futs
+          let parts, paths, bh =
+            List.fold_left
+              (fun (parts, paths, bh) -> function
+                | Either.Left chk -> ([ chk ] :: parts, paths, bh)
+                | Either.Right fut ->
+                  let comp_i, paths_i, bh_i = Pool.await pool fut in
+                  (comp_i :: parts, paths + paths_i, bh || bh_i))
+              ([], 1, false) items
+          in
+          (List.concat (List.rev parts), paths, bh)
       in
-      let st0 = initial_state config in
-      let b, uhi, comp, s, bh =
+      let comp, paths, bh =
         Pool.await pool
-          (Pool.spawn pool (subtree (Click.Pipeline.entry pl) st0))
+          (Pool.spawn pool
+             (subtree (Click.Pipeline.entry pl) (initial_state config)))
       in
-      merge_counters stats s;
-      best := b;
-      if uhi > !unknown_hi then unknown_hi := uhi;
-      (* Flat mode: the sequential push-front loop builds the list in
-         reverse-DFS order; match it so the stable longest-first sort
-         below breaks ties identically. *)
-      completed := List.rev comp;
-      drain_certs pool cq;
+      stats.composite_paths <- stats.composite_paths + paths;
       record_sched pool;
-      bh
-    | _ -> (
-      let step2 = make_step2 config in
-      let _, _, visit =
-        bound_visitor config nodes summaries ~stats ~best ~hint ~unknown_hi
-          ~completed ~certify:(certify_now cert step2) step2
+      (bh, comp)
+    | _ ->
+      let completed = ref [] in
+      let rec visit node st =
+        stats.composite_paths <- stats.composite_paths + 1;
+        if stats.composite_paths > config.max_composite_paths then
+          raise Path_budget;
+        List.iter
+          (function
+            | W_check chk -> completed := chk :: !completed
+            | W_subtree (dst, st') -> visit dst st')
+          (bound_expand nodes summaries node st)
       in
-      try
-        let st0 = initial_state config in
-        enter step2 st0;
-        visit (Click.Pipeline.entry pl) st0;
-        leave step2;
-        false
-      with Path_budget -> true)
+      let bh =
+        try
+          visit (Click.Pipeline.entry pl) (initial_state config);
+          false
+        with Path_budget -> true
+      in
+      (bh, List.rev !completed)
   in
-  (if not config.incremental then begin
-     (* Longest first; the first satisfiable path gives the bound. *)
-     let cache = if config.cache then Some Solver.shared_cache else None in
-     let candidates =
-       List.sort
-         (fun ((a : Compose.t), _) (b, _) ->
-           Stdlib.compare b.Compose.instr_hi a.Compose.instr_hi)
-         !completed
-     in
-     let rec search = function
-       | [] -> ()
-       | ((st : Compose.t), _crashed) :: rest -> (
-         stats.suspect_checks <- stats.suspect_checks + 1;
-         match
-           Solver.check ?cache ~deps:st.Compose.static_deps
-             ~max_conflicts:config.solver_budget st.Compose.cond
-         with
-         | Solver.Sat model -> best := Some (st.Compose.instr_hi, st, model)
-         | Solver.Unsat ->
-           stats.refuted <- stats.refuted + 1;
-           certify_now cert (make_flat config) st;
-           search rest
-         | Solver.Unknown ->
-           stats.unknown_checks <- stats.unknown_checks + 1;
-           if st.Compose.instr_hi > !unknown_hi then
-             unknown_hi := st.Compose.instr_hi;
-           search rest)
-     in
-     search candidates
-   end);
+  let step2 = make_step2 config in
+  let rec search = function
+    | [] -> ()
+    | (st : Compose.t) :: rest -> (
+      stats.suspect_checks <- stats.suspect_checks + 1;
+      reseed step2 st;
+      match check_state step2 ~max_conflicts:config.solver_budget st [] with
+      | Solver.Sat model -> best := Some (st.Compose.instr_hi, st, model)
+      | Solver.Unsat ->
+        stats.refuted <- stats.refuted + 1;
+        certify_now cert step2 st;
+        search rest
+      | Solver.Unknown ->
+        stats.unknown_checks <- stats.unknown_checks + 1;
+        if st.Compose.instr_hi > !unknown_hi then
+          unknown_hi := st.Compose.instr_hi;
+        search rest)
+  in
+  (* Stable: equal lengths keep DFS order, and so the sequential witness. *)
+  search
+    (List.stable_sort
+       (fun (a : Compose.t) (b : Compose.t) ->
+         Int.compare b.Compose.instr_hi a.Compose.instr_hi)
+       completed);
   let bound, exact =
     match !best with
     | Some (b, st, _) ->

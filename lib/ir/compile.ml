@@ -15,11 +15,12 @@
     - {e Native}: when every value in the program (register, constant,
       store key/value) fits in 61 bits, values live unboxed in an [int]
       array as masked unsigned words and all arithmetic is native.
-      Static store contents are snapshotted into an int-keyed hash
-      table at compile time (static stores cannot change, so the
-      snapshot stays valid across [reset]/[load_state]). Packet bytes
-      are accessed copy-free, straight out of the packet buffer after
-      one window check — the same idiom as [Checksum.over_packet].
+      Static store reads go straight to the live {!Static_data} table
+      by integer key, with no private copy: config churn that mutates
+      a table is visible at the next packet, exactly as for
+      {!Interp.run}. Packet bytes are accessed copy-free, straight out
+      of the packet buffer after one window check — the same idiom as
+      [Checksum.over_packet].
 
     - {e Boxed}: the fallback for wide values (e.g. 104-bit flow keys,
       64-bit counters, 8-byte loads). Registers are {!Bitvec.t} as in
@@ -759,29 +760,17 @@ let compile_native ~budget (prog : program) (stores : Stores.t) :
       let kk = src key in
       match d.kind with
       | Static ->
-        (* Static contents are snapshotted into an int-keyed table, but
-           config churn can mutate them after compilation; the snapshot
-           is rebuilt lazily whenever the generation counter moves. *)
+        (* Read the live table in place: native keys are at most 61
+           bits, so the register value is already the table's key. *)
         let data = d.init in
-        let tbl = Hashtbl.create 64 in
-        let snap_gen = ref (-1) in
-        let refresh () =
-          Hashtbl.reset tbl;
-          Static_data.iter
-            (fun k v ->
-              Hashtbl.replace tbl (B.to_int_trunc k) (B.to_int_trunc v))
-            data;
-          snap_gen := Static_data.generation data
-        in
         let dflt = B.to_int_trunc d.default in
         fun () ->
           let c = st.count + 1 in
           st.count <- c;
           if c > budget then crash Budget_exhausted;
-          if !snap_gen <> Static_data.generation data then refresh ();
           Array.unsafe_set regs r
-            (match Hashtbl.find_opt tbl (Array.unsafe_get regs kk) with
-            | Some v -> v
+            (match Static_data.find_int data (Array.unsafe_get regs kk) with
+            | Some v -> B.to_int_trunc v
             | None -> dflt);
           k ()
       | Private ->
@@ -1134,7 +1123,7 @@ let compile_boxed ~budget (prog : program) (stores : Stores.t) :
 (** [compile prog stores] — validate, pick a tier, and lower. Partial
     application [compile prog] performs validation and tier selection
     once; applying the store state builds the closure program (constant
-    resolution, store snapshots, register file allocation). *)
+    resolution, store handles, register file allocation). *)
 let compile ?(budget = Interp.default_budget) (prog : program) :
     Stores.t -> P.t -> Interp.result =
   let prog = Validate.check_program prog in

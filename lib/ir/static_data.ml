@@ -17,7 +17,11 @@
     Concurrency: lookups may run from many domains at once (symbex
     workers under [-j N]); mutations must be serialised with respect to
     verification, i.e. mutate between verifier runs, not during one.
-    Listener registration is append-only and guarded. *)
+    Runtime batches are readers too: every packet engine (interpreter,
+    batched and compiled) reads these tables in place, so a mutation is
+    visible to the next packet, and mutations must fall between
+    batches, never inside one. Listener registration is append-only and
+    guarded. *)
 
 module B = Vdp_bitvec.Bitvec
 
@@ -139,6 +143,14 @@ let find t k =
   match t.tbl with
   | Narrow h -> Hashtbl.find_opt h (ikey k)
   | Wide h -> Hashtbl.find_opt h k
+
+(* [find] taking the key as its unsigned integer value, for readers that
+   already hold keys as native words (the compiled engine's native
+   tier). Narrow-key stores only. *)
+let find_int t i =
+  match t.tbl with
+  | Narrow h -> Hashtbl.find_opt h i
+  | Wide _ -> invalid_arg "Static_data: integer keys need width <= 62"
 
 let mem t k =
   match t.tbl with

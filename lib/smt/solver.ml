@@ -175,6 +175,9 @@ module Cache = struct
         (* outcome plus the static-state slices (Static_data id,
            concrete key) the query depended on: a config mutation of
            one of those slices drops exactly the dependent entries *)
+    by_slice : (int * B.t, (int, unit) Hashtbl.t) Hashtbl.t;
+        (* slice -> ids of the entries that read it, so a mutation
+           finds its victims without scanning the table *)
     order : int Queue.t;  (* insertion order, for FIFO eviction *)
     capacity : int;
     lock : Mutex.t;
@@ -187,6 +190,7 @@ module Cache = struct
   let create ?(capacity = 1 lsl 14) () =
     {
       table = Hashtbl.create 256;
+      by_slice = Hashtbl.create 64;
       order = Queue.create ();
       capacity;
       lock = Mutex.create ();
@@ -203,12 +207,29 @@ module Cache = struct
   let clear c =
     guarded c (fun () ->
         Hashtbl.reset c.table;
+        Hashtbl.reset c.by_slice;
         Queue.clear c.order)
 
   let length c = guarded c (fun () -> Hashtbl.length c.table)
 
   let find c id =
     guarded c (fun () -> Option.map fst (Hashtbl.find_opt c.table id))
+
+  (* Drop entry [id] and its slice index; [false] if it was absent. *)
+  let remove c id =
+    match Hashtbl.find_opt c.table id with
+    | None -> false
+    | Some (_, deps) ->
+      Hashtbl.remove c.table id;
+      List.iter
+        (fun slice ->
+          match Hashtbl.find_opt c.by_slice slice with
+          | None -> ()
+          | Some ids ->
+            Hashtbl.remove ids id;
+            if Hashtbl.length ids = 0 then Hashtbl.remove c.by_slice slice)
+        deps;
+      true
 
   (* Returns the number of evicted entries (0 or 1). *)
   let add c id outcome deps =
@@ -222,18 +243,22 @@ module Cache = struct
               let rec evict () =
                 match Queue.take_opt c.order with
                 | None -> 0
-                | Some victim ->
-                  if Hashtbl.mem c.table victim then begin
-                    Hashtbl.remove c.table victim;
-                    1
-                  end
-                  else evict ()
+                | Some victim -> if remove c victim then 1 else evict ()
               in
               evict ()
             end
             else 0
           in
           Hashtbl.add c.table id (outcome, deps);
+          List.iter
+            (fun slice ->
+              match Hashtbl.find_opt c.by_slice slice with
+              | Some ids -> Hashtbl.replace ids id ()
+              | None ->
+                let ids = Hashtbl.create 8 in
+                Hashtbl.replace ids id ();
+                Hashtbl.replace c.by_slice slice ids)
+            deps;
           Queue.add id c.order;
           evicted
         end)
@@ -243,18 +268,11 @@ module Cache = struct
   let invalidate_static c ~sid ~key =
     guarded c (fun () ->
         let victims =
-          Hashtbl.fold
-            (fun id (_, deps) acc ->
-              if
-                List.exists
-                  (fun (sid', k) -> sid' = sid && B.equal k key)
-                  deps
-              then id :: acc
-              else acc)
-            c.table []
+          match Hashtbl.find_opt c.by_slice (sid, key) with
+          | None -> []
+          | Some ids -> List.of_seq (Hashtbl.to_seq_keys ids)
         in
-        List.iter (Hashtbl.remove c.table) victims;
-        let n = List.length victims in
+        let n = List.length (List.filter (remove c) victims) in
         c.invalidated <- c.invalidated + n;
         n)
 

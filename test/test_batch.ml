@@ -155,6 +155,95 @@ let radix_fixed () =
         ])
     engines
 
+(* {1 Live engines across FIB churn}
+
+   One instance per engine, built once over a mutable FIB: every route
+   change must be visible at the next push, with no re-instantiation.
+   The scripted prefix of the churn walks the DIR-16-8-8 edge cases — a
+   /16 slot's spill bit set and cleared, deeper routes shadowing and
+   then falling back to a covering route of their own level, a route
+   rewritten in place — before random inserts and deletes. *)
+
+let live_churn () =
+  let ip = Vdp_packet.Ipv4.addr_of_string in
+  let fib = El.Fib.create ~nports:8 [] in
+  let prog = El.radix_program fib in
+  check_bool "radix program runs on the native tier" true
+    (Vdp_ir.Compile.tier prog = Vdp_ir.Compile.Native);
+  let pl =
+    Click.Pipeline.linear
+      [ Click.Element.make ~name:"rt" ~cls:"RadixIPLookup" ~config:[] prog ]
+  in
+  let insts = List.map (fun engine -> (engine, R.instantiate ~engine pl)) engines in
+  let model : (int * int, El.route) Hashtbl.t = Hashtbl.create 64 in
+  let st = Random.State.make [| 0xc4a2 |] in
+  let probes =
+    List.map ip
+      [ "8.8.8.8"; "10.1.2.3"; "10.16.0.1"; "10.16.4.9"; "10.16.5.1";
+        "10.16.5.130"; "10.16.5.255"; "10.16.6.1"; "10.17.0.0" ]
+  in
+  let check step =
+    let trie = Lpm.create () in
+    Hashtbl.iter (fun (p, l) r -> Lpm.add trie ~prefix:p ~len:l r) model;
+    let addrs =
+      Hashtbl.fold
+        (fun (p, l) _ acc ->
+          p
+          :: (p lor (lnot (El.mask_of_len l) land 0xffffffff))
+          :: ((p + (1 lsl (32 - min 31 l))) land 0xffffffff)
+          :: acc)
+        model
+        (probes @ List.init 20 (fun _ -> rand32 st))
+    in
+    List.iter
+      (fun (engine, inst) ->
+        let msg = Printf.sprintf "step %s (%s)" step (R.engine_name engine) in
+        List.iter (check_lookup_agrees ~msg trie inst) addrs)
+      insts
+  in
+  let insert spec =
+    let r = El.parse_route spec in
+    El.Fib.insert fib r;
+    Hashtbl.replace model (r.El.prefix, r.El.plen) r;
+    check ("insert " ^ spec)
+  in
+  let delete spec =
+    let r = El.parse_route (spec ^ " 0") in
+    check_bool ("delete " ^ spec) true
+      (El.Fib.delete fib ~prefix:r.El.prefix ~plen:r.El.plen);
+    Hashtbl.remove model (r.El.prefix, r.El.plen);
+    check ("delete " ^ spec)
+  in
+  check "empty";
+  insert "0.0.0.0/0 9.9.9.9 3";
+  insert "10.0.0.0/8 1";
+  insert "10.16.0.0/12 2";
+  insert "10.16.5.0/24 4"; (* spills the 10.16/16 slot *)
+  insert "10.16.5.128/25 5"; (* spills the 10.16.5/24 slot *)
+  insert "10.16.4.0/22 6"; (* under the /24, same level *)
+  delete "10.16.5.0/24"; (* falls back to the /22 *)
+  delete "10.16.5.128/25"; (* clears the /24 spill *)
+  delete "10.16.4.0/22"; (* clears the /16 spill: back to the /12 *)
+  delete "10.16.0.0/12"; (* falls back to the /8 *)
+  insert "10.0.0.0/8 1.2.3.4 7"; (* rewritten in place *)
+  delete "0.0.0.0/0";
+  for i = 1 to 40 do
+    if Random.State.int st 3 = 0 && Hashtbl.length model > 0 then begin
+      let keys = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
+      let p, l = List.nth keys (Random.State.int st (List.length keys)) in
+      check_bool "delete of present route" true
+        (El.Fib.delete fib ~prefix:p ~plen:l);
+      Hashtbl.remove model (p, l);
+      check (Printf.sprintf "random %d: delete" i)
+    end
+    else begin
+      let r = List.hd (random_routes st 1) in
+      El.Fib.insert fib r;
+      Hashtbl.replace model (r.El.prefix, r.El.plen) r;
+      check (Printf.sprintf "random %d: insert" i)
+    end
+  done
+
 (* {1 Scalar vs batched vs compiled: exact observational equality} *)
 
 let window p = Bytes.sub_string p.P.buf p.P.head p.P.len
@@ -336,6 +425,8 @@ let tests =
     Alcotest.test_case "radix vs trie, random /0-/32 (compiled)" `Quick
       (radix_differential R.Compiled);
     Alcotest.test_case "radix fixed cases, all engines" `Quick radix_fixed;
+    Alcotest.test_case "live engines follow FIB churn, all engines" `Quick
+      live_churn;
     Alcotest.test_case "engines agree on router.click" `Quick (fun () ->
         engine_differential "router"
           (Click.Config.parse_file (find "router.click"))

@@ -17,6 +17,15 @@ let s ~w v =
 
 let mask w n = n land ((1 lsl w) - 1)
 
+(* Reference for [to_int_trunc]: the low [Sys.int_size - 1] bits, one
+   [testbit] at a time. *)
+let to_int_trunc_bitwise v =
+  let acc = ref 0 in
+  for i = min (B.width v) (Sys.int_size - 1) - 1 downto 0 do
+    acc := (!acc lsl 1) lor if B.testbit v i then 1 else 0
+  done;
+  !acc
+
 let unit_tests =
   [
     Alcotest.test_case "of_int/to_int roundtrip" `Quick (fun () ->
@@ -139,6 +148,18 @@ let props =
       (QCheck.int_bound ((1 lsl w) - 1)) (fun a ->
         let va = B.of_int ~width:w a in
         B.equal va (B.of_string ~width:w (B.to_string_dec va)));
+    QCheck.Test.make ~count:1000
+      ~name:"to_int_trunc keeps the low 62 bits, widths 1-128"
+      (QCheck.make
+         ~print:(fun v -> Printf.sprintf "%d'%s" (B.width v) (B.to_string_hex v))
+         QCheck.Gen.(
+           map2
+             (fun w bytes -> B.extract ~hi:(w - 1) ~lo:0 (B.of_bytes_be bytes))
+             (int_range 1 128)
+             (oneof
+                [ string_size ~gen:char (return 16);
+                  return (String.make 16 '\xff') ])))
+      (fun v -> B.to_int_trunc v = to_int_trunc_bitwise v);
   ]
 
 let tests = unit_tests @ List.map QCheck_alcotest.to_alcotest props

@@ -147,6 +147,29 @@ let cache_tests =
         check_int "length capped" 4 (Solver.Cache.length cache);
         check_int "evictions counted" (e0 + 6)
           Solver.stats.Solver.cache_evictions);
+    Alcotest.test_case "slice invalidation drops exactly the readers" `Quick
+      (fun () ->
+        let cache = Solver.Cache.create ~capacity:3 () in
+        let k = B.of_int ~width:8 in
+        let q i deps =
+          ignore
+            (Solver.check ~cache ~preprocess:false ~deps [ T.eq x (c i) ])
+        in
+        let drop sid key = Solver.Cache.invalidate_static cache ~sid ~key in
+        q 1 [ (7, k 1) ];
+        q 2 [ (7, k 1); (7, k 2) ];
+        q 3 [ (7, k 2); (7, k 2) ];
+        check_int "both readers of (7,1)" 2 (drop 7 (k 1));
+        check_int "one entry left" 1 (Solver.Cache.length cache);
+        q 4 [ (7, k 2) ];
+        q 5 [ (8, k 2) ];
+        (* At capacity: evicts entry 3, the oldest live one. *)
+        q 6 [];
+        check_int "evicted reader not counted" 1 (drop 7 (k 2));
+        check_int "other store's slice" 1 (drop 8 (k 2));
+        check_int "already dropped" 0 (drop 7 (k 1));
+        check_int "dependency-free entry survives" 1
+          (Solver.Cache.length cache));
     Alcotest.test_case "hit across eliminated conjuncts" `Quick (fun () ->
         (* The cache is keyed on the *preprocessed* conjunction, so a
            query carrying an eliminable definition and an unconstrained

@@ -360,6 +360,8 @@ let fixed_differential_tests =
         check_bool "bound found" true (seq.V.bound <> None);
         check_bool "same bound" true (seq.V.bound = par.V.bound);
         check_bool "same exactness" true (seq.V.exact = par.V.exact);
+        check_int "same bound checks" seq.V.b_stats.V.suspect_checks
+          par.V.b_stats.V.suspect_checks;
         (* Both witnesses, possibly different packets, must attain a
            runtime measurement within the proved bound. *)
         match (seq.V.measured, par.V.measured, seq.V.bound) with
